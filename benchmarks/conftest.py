@@ -1,9 +1,10 @@
 """Shared builders for the benchmark harness.
 
 Every benchmark constructs its KMT instances through the helpers here so the
-terms being measured are exactly the ones listed in DESIGN.md's experiment
-index (and so the ablation benchmarks can rebuild the same workloads with
-different configurations).
+terms being measured are exactly the paper's Fig. 9 / Fig. 1 queries (and so
+the ablation benchmarks can rebuild the same workloads with different
+configurations).  ``kmtperf/README.md`` describes the tracked, per-layer
+versions of these queries.
 """
 
 from __future__ import annotations

@@ -52,11 +52,24 @@ def canonical(m):
     derivative states of a large sum keep growing forever.  We flatten sums
     into sorted, deduplicated lists and right-associate sequences; together
     with hash consing this keeps the implicit automaton finite.
+
+    Results are memoized on the (hash-consed) argument in a capped table, like
+    the alphabet memos below: every derivative re-canonicalizes the unchanged
+    subterms of its state, which after the first time are lookups.
+    :func:`clear_alphabet_caches` drops the memo.  With the smart constructors
+    switched off the rewrites differ, so that mode bypasses the memo.
     """
-    if isinstance(m, T.TTest):
+    if isinstance(m, (T.TTest, T.TPrim)):
         return m
-    if isinstance(m, T.TPrim):
-        return m
+    if not T.CONFIG.smart_constructors:
+        return _canonical(m)
+    cached = _CANONICAL_CACHE.get(m)
+    if cached is None:
+        cached = _memo_capped(_CANONICAL_CACHE, m, _canonical(m))
+    return cached
+
+
+def _canonical(m):
     if isinstance(m, T.TStar):
         return T.tstar(canonical(m.arg))
     if isinstance(m, T.TSeq):
@@ -182,13 +195,16 @@ _ALPHABET_CACHE_LIMIT = 1 << 16
 _ALPHA_CACHE = {}       # restricted action -> frozenset of primitive actions
 _SIGMA_CACHE = {}       # restricted action -> tuple sorted in canonical order
 _SIGMA_PAIR_CACHE = {}  # (m, n) -> merged sorted tuple
+_CANONICAL_CACHE = {}   # restricted action -> its ACI-canonical form
 
 
 def clear_alphabet_caches():
-    """Drop the alphabet memo tables (never required for correctness)."""
+    """Drop the alphabet and canonical-form memo tables (never required for
+    correctness)."""
     _ALPHA_CACHE.clear()
     _SIGMA_CACHE.clear()
     _SIGMA_PAIR_CACHE.clear()
+    _CANONICAL_CACHE.clear()
 
 
 def _memo_capped(cache, key, value):

@@ -57,7 +57,14 @@ def canonicalize_test(pred):
 
 
 class NormalForm:
-    """An immutable normal form: a set of ``(test, restricted-action)`` pairs."""
+    """An immutable normal form: a set of ``(test, restricted-action)`` pairs.
+
+    Invariant: every stored test is canonical (the output of
+    :func:`canonicalize_test`) and not ``0``.  The public constructor
+    establishes it; :meth:`union` and :meth:`seq_action` keep the tests of
+    existing normal forms unchanged, so they build through
+    :meth:`_of_canonical` instead of canonicalizing every guard again.
+    """
 
     # ``_fp`` caches the engine layer's fingerprint key (see
     # :func:`repro.engine.intern.fingerprint_normal_form`); unused by the core.
@@ -107,6 +114,14 @@ class NormalForm:
     def of_pairs(cls, pairs):
         return cls(pairs)
 
+    @classmethod
+    def _of_canonical(cls, pairs):
+        """Build from pairs whose tests already satisfy the class invariant."""
+        nf = cls.__new__(cls)
+        nf.pairs = frozenset(pairs)
+        nf._hash = None
+        return nf
+
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
@@ -155,7 +170,7 @@ class NormalForm:
     # ------------------------------------------------------------------
     def union(self, other):
         """Parallel composition of normal forms (just joining the sums)."""
-        return NormalForm(self.pairs | other.pairs, validate=False)
+        return NormalForm._of_canonical(self.pairs | other.pairs)
 
     def prefix_test(self, pred):
         """The normal form ``pred · self`` (conjoin ``pred`` onto every test)."""
@@ -168,9 +183,8 @@ class NormalForm:
         """The normal form ``self · action`` for a restricted action ``action``."""
         if not T.is_restricted(action):
             raise KmtError(f"seq_action expects a restricted action, got {action!r}")
-        return NormalForm(
-            {(test, T.tseq(m, action)) for test, m in self.pairs},
-            validate=False,
+        return NormalForm._of_canonical(
+            {(test, T.tseq(m, action)) for test, m in self.pairs}
         )
 
     def to_term(self):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import product
 
 from repro.core import terms as T
-from repro.smt.literals import atoms_of, evaluate, substitute
+from repro.smt.literals import atoms_of, evaluate, substitute, substitute_all
 
 
 def dpll_satisfiable(pred, theory):
@@ -160,12 +160,14 @@ def enumerate_signatures(guards, theory, satisfiable=None, stats=None, cancel=No
     single depth-first search over the atoms carries the clause set as a flat
     list (never one nested formula, so depth stays bounded by the clause
     width) and continues after every model instead of restarting; clauses
-    discovered in earlier branches are imported lazily into the current path,
-    so a subtree all of whose completions reproduce already-seen signatures
-    folds to false and is abandoned wholesale.  A clause reduced to a bare
-    primitive test (or its negation) is unit-propagated without branching.
-    Decisions are pruned against the theory's ``satisfiable_conjunction``
-    oracle exactly like :func:`dpll_satisfiable`.
+    discovered in earlier branches are imported lazily into the current path
+    (one walk per clause under the path's whole assignment, not one per
+    decided literal), so a subtree all of whose completions reproduce
+    already-seen signatures folds to false and is abandoned wholesale.  A
+    clause reduced to a bare primitive test (or its negation) is
+    unit-propagated without branching.  Decisions are pruned against the
+    theory's ``satisfiable_conjunction`` oracle exactly like
+    :func:`dpll_satisfiable`.
 
     ``satisfiable`` optionally overrides the consistency oracle (a callable
     on literal lists — the decision procedure passes a memoized wrapper);
@@ -188,15 +190,21 @@ def enumerate_signatures(guards, theory, satisfiable=None, stats=None, cancel=No
 def _import_clauses(clauses, imported, literals, blocked, stats):
     """Bring blocking clauses found in earlier branches into this path.
 
-    Applies the path's literals to every clause in ``blocked[imported:]``;
-    returns ``(clauses, imported)`` or ``None`` when a clause folds to false
-    (every completion of this path reproduces a seen signature).
+    Applies the path's literals to every clause in ``blocked[imported:]``,
+    each clause in a single :func:`~repro.smt.literals.substitute_all` walk
+    under the path's whole assignment (the result equals substituting the
+    literals one at a time); returns ``(clauses, imported)`` or ``None`` when
+    a clause folds to false (every completion of this path reproduces a seen
+    signature).
     """
+    if imported == len(blocked):
+        return clauses, imported
+    # A path decides each atom once: it only branches on, or propagates, an
+    # atom still occurring in a guard or clause it has already substituted.
+    assignment = dict(literals)
     while imported < len(blocked):
-        clause = blocked[imported]
+        clause = substitute_all(blocked[imported], assignment)
         imported += 1
-        for alpha, polarity in literals:
-            clause = substitute(clause, alpha, polarity)
         value = _constant_value(clause)
         if value is False:
             stats.blocked_pruned += 1

@@ -35,6 +35,43 @@ def substitute(pred, alpha, value):
     raise TypeError(f"not a Pred: {pred!r}")
 
 
+def substitute_all(pred, assignment):
+    """Replace every primitive test in ``assignment`` (``{alpha: bool}``) at once.
+
+    Equal to folding :func:`substitute` over the assignment's items, but the
+    predicate is walked once instead of once per literal, and a subterm shared
+    within the predicate is rebuilt once.  The smart constructors simplify on
+    the way up exactly as they do for single substitutions.
+    """
+    if not assignment:
+        return pred
+    done = {}
+
+    def walk(node):
+        result = done.get(node)
+        if result is not None:
+            return result
+        if isinstance(node, (T.PZero, T.POne)):
+            return node
+        if isinstance(node, T.PPrim):
+            value = assignment.get(node.alpha)
+            if value is None:
+                return node
+            return T.pone() if value else T.pzero()
+        if isinstance(node, T.PNot):
+            result = T.pnot(walk(node.arg))
+        elif isinstance(node, T.PAnd):
+            result = T.pand(walk(node.left), walk(node.right))
+        elif isinstance(node, T.POr):
+            result = T.por(walk(node.left), walk(node.right))
+        else:
+            raise TypeError(f"not a Pred: {node!r}")
+        done[node] = result
+        return result
+
+    return walk(pred)
+
+
 def evaluate(pred, assignment):
     """Evaluate a predicate under a total assignment ``{alpha: bool}``."""
     if isinstance(pred, T.PZero):

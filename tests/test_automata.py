@@ -1,13 +1,16 @@
 """Tests for Brzozowski derivatives and Hopcroft–Karp equivalence (Section 4.1)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import terms as T
 from repro.utils.errors import CounterexampleBoundExceeded
+from repro.core import automata
 from repro.core.automata import (
     alphabet,
     canonical,
+    clear_alphabet_caches,
     counterexample_word,
     derivative,
     derivative_states,
@@ -93,6 +96,123 @@ class TestCanonical:
         big = T.tplus_all(chains)
         states = derivative_states(big, max_states=500)
         assert len(states) < 50
+
+
+def _reference_canonical(m):
+    """The ACI-canonical form computed from scratch, with no memo table."""
+    if isinstance(m, (T.TTest, T.TPrim)):
+        return m
+    if isinstance(m, T.TStar):
+        return T.tstar(_reference_canonical(m.arg))
+    if isinstance(m, T.TSeq):
+        factors = []
+        stack = [m]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, T.TSeq):
+                stack.extend((node.right, node.left))
+            else:
+                factors.append(_reference_canonical(node))
+        if any(f == T.tzero() for f in factors):
+            return T.tzero()
+        result = T.tone()
+        for factor in reversed([f for f in factors if f != T.tone()]):
+            result = T.tseq(factor, result)
+        return result
+    summands = set()
+    stack = [m]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, T.TPlus):
+            stack.extend((node.left, node.right))
+        else:
+            summands.add(_reference_canonical(node))
+    summands.discard(T.tzero())
+    if not summands:
+        return T.tzero()
+    ordered = sorted(summands, key=lambda t: t.sort_key())
+    result = ordered[0]
+    for summand in ordered[1:]:
+        result = T.tplus(result, summand)
+    return result
+
+
+def _action_shapes(max_leaves=8):
+    """Restricted-action *recipes*, built later under a chosen smart-constructor
+    setting (see :func:`_build_action`)."""
+    leaves = st.sampled_from([("one",), ("zero",), ("prim", PI_A), ("prim", PI_B)])
+
+    def extend(children):
+        return st.one_of(
+            children.map(lambda arg: ("star", arg)),
+            st.tuples(st.sampled_from(("plus", "seq")), children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+def _build_action(shape):
+    kind = shape[0]
+    if kind == "one":
+        return T.tone()
+    if kind == "zero":
+        return T.tzero()
+    if kind == "prim":
+        return T.tprim(shape[1])
+    if kind == "star":
+        return T.tstar(_build_action(shape[1]))
+    join = T.tplus if kind == "plus" else T.tseq
+    return join(_build_action(shape[1]), _build_action(shape[2]))
+
+
+class TestCanonicalMemo:
+    """``canonical`` memoizes on its argument; the memo must be invisible."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(restricted_actions(max_leaves=8))
+    def test_memoized_matches_fresh_canonicalization(self, m):
+        expected = _reference_canonical(m)
+        clear_alphabet_caches()
+        assert canonical(m) == expected
+        assert canonical(m) == expected  # now a memo hit
+        clear_alphabet_caches()
+        assert canonical(m) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(restricted_actions(max_leaves=6))
+    def test_derivatives_match_fresh_canonicalization(self, m):
+        clear_alphabet_caches()
+        for state in derivative_states(m, max_states=200):
+            for pi in (PI_A, PI_B):
+                raw = automata._derivative_raw(state, pi)
+                assert automata.canonical(raw) == _reference_canonical(raw)
+
+    @settings(max_examples=40, deadline=None)
+    @given(restricted_actions(max_leaves=6))
+    def test_memo_bypassed_without_smart_constructors(self, m):
+        canonical(m)  # populate the memo under the smart constructors
+        with T.smart_constructors_disabled():
+            assert canonical(m) == _reference_canonical(m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_action_shapes())
+    @example(("plus", ("one",), ("seq", ("one",), ("plus", ("one",), ("prim", PI_A)))))
+    def test_unsimplified_terms_match_fresh_canonicalization(self, shape):
+        # Terms built without the smart constructors keep units and nested
+        # sums under sequences, where canonical() is not idempotent: only the
+        # argument, never the result, may key the memo.
+        with T.smart_constructors_disabled():
+            m = _build_action(shape)
+        clear_alphabet_caches()
+        expected = _reference_canonical(m)
+        assert canonical(m) == expected
+        assert canonical(expected) == _reference_canonical(expected)
+
+    def test_clear_alphabet_caches_drops_the_memo(self):
+        canonical(T.tplus(B, A))
+        assert automata._CANONICAL_CACHE
+        clear_alphabet_caches()
+        assert not automata._CANONICAL_CACHE
 
 
 class TestLanguageQueries:

@@ -1,12 +1,15 @@
 """Tests for normal forms Σ aᵢ·mᵢ and splitting (paper Section 3.3.1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import terms as T
-from repro.core.normalform import NormalForm
+from repro.core.normalform import NormalForm, canonicalize_test
 from repro.core.ordering import OrderingContext
 from repro.theories.incnat import Gt, IncNatTheory, Incr
 from repro.utils.errors import KmtError
+from tests.conftest import bitvec_preds, restricted_actions
 
 
 @pytest.fixture
@@ -107,6 +110,44 @@ class TestAlgebra:
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+_GUARDS = st.lists(bitvec_preds(max_leaves=3), min_size=1, max_size=4).map(T.pand_all)
+_PAIRS = st.lists(st.tuples(_GUARDS, restricted_actions(max_leaves=3)), max_size=5)
+
+
+def _assert_invariant(nf):
+    for test, _ in nf.pairs:
+        assert not isinstance(test, T.PZero)
+        assert canonicalize_test(test) == test
+
+
+class TestCanonicalConstructors:
+    """``union`` and ``seq_action`` skip re-canonicalizing guards; the result
+    must equal building the same pairs through the validating constructor."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_PAIRS, _PAIRS)
+    def test_union_matches_validating_constructor(self, left, right):
+        x, y = NormalForm(left), NormalForm(right)
+        joined = x.union(y)
+        assert joined == NormalForm(list(x.pairs) + list(y.pairs))
+        assert joined == NormalForm(left + right)
+        _assert_invariant(joined)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_PAIRS, restricted_actions(max_leaves=3))
+    def test_seq_action_matches_validating_constructor(self, pairs, action):
+        nf = NormalForm(pairs)
+        extended = nf.seq_action(action)
+        assert extended == NormalForm([(test, T.tseq(m, action)) for test, m in nf.pairs])
+        _assert_invariant(extended)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_PAIRS, _GUARDS)
+    def test_prefix_test_still_canonicalizes(self, pairs, guard):
+        prefixed = NormalForm(pairs).prefix_test(guard)
+        _assert_invariant(prefixed)
 
 
 class TestSplitting:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core import terms as T
 from repro.smt.dpll import dpll_model, dpll_satisfiable, enumerate_models, naive_satisfiable
-from repro.smt.literals import atoms_of, conjunction_of, evaluate, substitute
+from repro.smt.literals import atoms_of, conjunction_of, evaluate, substitute, substitute_all
 from repro.smt.natsolver import Bounds, model_bounds, satisfiable_bounds
 from repro.theories.bitvec import BitVecTheory, BoolEq
 from repro.theories.incnat import Gt, IncNatTheory
@@ -38,6 +38,70 @@ class TestLiterals:
         pred = conjunction_of(literals)
         assert evaluate(pred, {BoolEq("a"): True, BoolEq("b"): False})
         assert not evaluate(pred, {BoolEq("a"): True, BoolEq("b"): True})
+
+
+_BOOL_ATOMS = [BoolEq(v) for v in ("a", "b", "c", "d")]
+
+
+def _pred_shapes(max_leaves=12):
+    """Predicate *recipes*, so a predicate can be built under either
+    smart-constructor setting (strategies that build eagerly use the setting
+    active at draw time)."""
+    leaves = st.one_of(
+        st.just(("zero",)),
+        st.just(("one",)),
+        st.sampled_from(_BOOL_ATOMS).map(lambda alpha: ("prim", alpha)),
+    )
+
+    def extend(children):
+        return st.one_of(
+            children.map(lambda arg: ("not", arg)),
+            st.tuples(st.sampled_from(("and", "or")), children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+def _build(shape):
+    kind = shape[0]
+    if kind == "zero":
+        return T.pzero()
+    if kind == "one":
+        return T.pone()
+    if kind == "prim":
+        return T.pprim(shape[1])
+    if kind == "not":
+        return T.pnot(_build(shape[1]))
+    join = T.pand if kind == "and" else T.por
+    return join(_build(shape[1]), _build(shape[2]))
+
+
+_LITERAL_LISTS = st.lists(
+    st.tuples(st.sampled_from(_BOOL_ATOMS), st.booleans()), unique_by=lambda lit: lit[0]
+)
+
+
+def _fold_substitute(pred, literals):
+    for alpha, value in literals:
+        pred = substitute(pred, alpha, value)
+    return pred
+
+
+class TestSubstituteAll:
+    @given(_pred_shapes(), _LITERAL_LISTS)
+    def test_matches_folded_substitute(self, shape, literals):
+        pred = _build(shape)
+        expected = _fold_substitute(pred, literals)
+        assert substitute_all(pred, dict(literals)) == expected
+        # Folding order is irrelevant, so one simultaneous walk is sound.
+        assert _fold_substitute(pred, list(reversed(literals))) == expected
+
+    @given(_pred_shapes(), _LITERAL_LISTS)
+    def test_matches_folded_substitute_without_smart_constructors(self, shape, literals):
+        with T.smart_constructors_disabled():
+            pred = _build(shape)
+            expected = _fold_substitute(pred, literals)
+            assert substitute_all(pred, dict(literals)) == expected
 
 
 class TestNatSolver:
